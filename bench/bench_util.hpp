@@ -2,6 +2,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdarg>
 #include <cstdint>
@@ -112,33 +113,32 @@ class Args {
     return false;
   }
 
+  /// Integer value of `--key`, or `fallback` when absent. A malformed or
+  /// out-of-range value is a usage error: it names the key and the value
+  /// and exits 2 rather than running with a silent default.
   [[nodiscard]] std::int64_t get_int(const std::string& key,
                                      std::int64_t fallback) const {
     const char* raw = find_value(key);
     if (raw == nullptr) return fallback;
     char* end = nullptr;
+    errno = 0;
     const long long v = std::strtoll(raw, &end, 10);
-    if (end == raw || *end != '\0') {
-      std::fprintf(stderr,
-                   "warning: %s expects an integer, got \"%s\"; using "
-                   "%lld\n",
-                   key.c_str(), raw, static_cast<long long>(fallback));
-      return fallback;
+    if (end == raw || *end != '\0' || errno == ERANGE) {
+      bad_value(key, "an integer", raw);
     }
     return v;
   }
 
+  /// Floating-point value of `--key`; same error contract as get_int().
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const {
     const char* raw = find_value(key);
     if (raw == nullptr) return fallback;
     char* end = nullptr;
+    errno = 0;
     const double v = std::strtod(raw, &end);
-    if (end == raw || *end != '\0') {
-      std::fprintf(stderr,
-                   "warning: %s expects a number, got \"%s\"; using %g\n",
-                   key.c_str(), raw, fallback);
-      return fallback;
+    if (end == raw || *end != '\0' || errno == ERANGE) {
+      bad_value(key, "a number", raw);
     }
     return v;
   }
@@ -150,6 +150,13 @@ class Args {
   }
 
  private:
+  [[noreturn]] static void bad_value(const std::string& key,
+                                     const char* expected, const char* raw) {
+    std::fprintf(stderr, "error: %s expects %s, got \"%s\"\n", key.c_str(),
+                 expected, raw);
+    std::exit(2);
+  }
+
   static bool looks_like_key(const std::string& tok) {
     return tok.size() > 2 && tok[0] == '-' && tok[1] == '-';
   }

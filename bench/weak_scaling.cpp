@@ -225,10 +225,11 @@ int main(int argc, char** argv) {
       args.get_int("--msgs", quick ? 100'000 : 2'000'000);
   const std::int64_t path_ops =
       args.get_int("--path-ops", quick ? 6'400 : 64'000);
-  // The largest point this bench is sized for on a 16 GB host; --big-procs
-  // raises it where memory allows (peak RSS grows ~linearly).
+  // The paper-scale point: 1,048,576 processes (262,144 nodes) peak near
+  // 5.3 GB: 8 B per MFCG edge of the credit banks (2.0 GiB) plus ~3.2 KB
+  // per process; --big-procs lowers it on a smaller host.
   const std::int64_t big_procs =
-      args.get_int("--big-procs", quick ? 16384 : 262144);
+      args.get_int("--big-procs", quick ? 16384 : 1048576);
   const int big_ops =
       static_cast<int>(args.get_int("--big-ops", quick ? 1 : 2));
   const std::string backend_name = args.get_string("--backend", "sim");

@@ -9,14 +9,20 @@
 // Exhausted credits block the sender — for a forwarding CHT this is the
 // hold-and-wait that makes arbitrary forwarding orders deadlock.
 //
-// Storage is dense: one slot per topology out-neighbor, sized at
-// construction from the neighbor list, so the per-send credit probe is a
-// binary search over a sorted NodeId array plus an int decrement — no
-// hash, no per-pool Semaphore object, no double indirection. Waiting
-// coroutines queue FIFO through a waiter arena shared by all slots of
-// the bank; release() hands the credit straight to the oldest waiter
-// (count unchanged), preserving the exact fairness and event-scheduling
-// semantics of the Semaphore-based implementation.
+// Storage is sized by traffic, not by topology (the paper's Sec. III
+// point: buffers for peers a node never talks to cost nothing). The bank
+// keeps one 8-byte edge record per topology out-neighbor, sorted by
+// neighbor id, holding a 4-byte index into a vector of pool records that
+// are materialized on first use. An untouched edge is a full pool by
+// construction, so the const readers report that fresh state without
+// allocating, and a bank costs 8 B per untouched edge plus one pool
+// record per touched edge. The per-send credit probe stays a binary
+// search over the sorted edges plus an int decrement — no hash, no
+// per-pool Semaphore object. Waiting coroutines queue FIFO through a
+// waiter arena shared by all pools of the bank; release() hands the
+// credit straight to the oldest waiter (count unchanged), preserving the
+// exact fairness and event-scheduling semantics of the Semaphore-based
+// implementation.
 #pragma once
 
 #include <algorithm>
@@ -36,7 +42,8 @@
 
 namespace vtopo::armci {
 
-/// Sender-side credit pools on one node: one dense slot per out-neighbor.
+/// Sender-side credit pools on one node: one edge record per
+/// out-neighbor, one pool record per edge that has carried traffic.
 ///
 /// With QoS armed (QosParams::enabled and nonzero reservations) each pool
 /// is notionally partitioned into three lanes: a critical-only lane of
@@ -68,6 +75,13 @@ class CreditBank {
     std::uint32_t nwait = 0;
   };
 
+  /// One out-edge: the neighbor id (the binary-search key) and the index
+  /// of its pool in pools_, kNil while the edge is untouched.
+  struct Edge {
+    core::NodeId nbr;
+    std::uint32_t pool = kNil;
+  };
+
   struct Waiter {
     std::coroutine_handle<> h;
     std::uint32_t next = kNil;
@@ -80,23 +94,20 @@ class CreditBank {
   /// reserved lanes ever) or point at long-lived params whose
   /// reservations are read live on every acquire/release.
   CreditBank(sim::Engine& eng, std::int64_t credits_per_edge,
-             std::vector<core::NodeId> neighbors,
+             const std::vector<core::NodeId>& neighbors,
              const QosParams* qos = nullptr)
-      : eng_(&eng),
-        qos_(qos),
-        limit_(credits_per_edge),
-        neighbors_(std::move(neighbors)),
-        pools_(neighbors_.size()) {
-    assert(std::is_sorted(neighbors_.begin(), neighbors_.end()));
-    for (Pool& p : pools_) p.count = credits_per_edge;
+      : eng_(&eng), qos_(qos), limit_(credits_per_edge) {
+    assert(std::is_sorted(neighbors.begin(), neighbors.end()));
+    fresh_.count = credits_per_edge;
+    set_edges(neighbors);
   }
 
   struct [[nodiscard]] Acquire {
     CreditBank* bank;
-    std::size_t idx;
+    std::uint32_t pool;
     Priority cls;
     bool await_ready() const {
-      Pool& p = bank->pools_[idx];
+      Pool& p = bank->pools_[pool];
       if (bank->eligible(p, cls)) {
         bank->take(p, cls);
         return true;
@@ -104,7 +115,7 @@ class CreditBank {
       return false;
     }
     void await_suspend(std::coroutine_handle<> h) {
-      bank->park(idx, h, cls);
+      bank->park(pool, h, cls);
     }
     void await_resume() const noexcept {}
   };
@@ -114,7 +125,7 @@ class CreditBank {
   /// classes) is exhausted.
   [[nodiscard]] Acquire acquire(core::NodeId receiver,
                                 Priority cls = Priority::kNormal) {
-    return Acquire{this, index_of(receiver), cls};
+    return Acquire{this, touch(receiver), cls};
   }
 
   /// Return one credit held by a `cls` sender for the edge to
@@ -123,7 +134,7 @@ class CreditBank {
   /// the event queue at the current time; without reservations that is
   /// exactly the old oldest-waiter hand-off.
   void release(core::NodeId receiver, Priority cls = Priority::kNormal) {
-    Pool& p = pools_[index_of(receiver)];
+    Pool& p = pools_[touch(receiver)];
     VTOPO_CHECK(p.in_use > 0, "credit released that was never acquired");
     VTOPO_CHECK(p.cls_in_use[static_cast<std::size_t>(cls)] > 0,
                 "credit released by a class holding none");
@@ -154,20 +165,26 @@ class CreditBank {
   }
 
   [[nodiscard]] std::int64_t available(core::NodeId receiver) const {
-    return pools_[index_of(receiver)].count;
+    return view(receiver).count;
   }
   [[nodiscard]] std::size_t waiters(core::NodeId receiver) const {
-    return pools_[index_of(receiver)].nwait;
+    return view(receiver).nwait;
   }
   [[nodiscard]] std::int64_t in_use(core::NodeId receiver) const {
-    return pools_[index_of(receiver)].in_use;
+    return view(receiver).in_use;
   }
   [[nodiscard]] std::int64_t credits_per_edge() const { return limit_; }
 
   /// Credits of `receiver`'s pool a fresh request of class `cls` could
   /// take right now (reserved lanes excluded for lower classes).
   [[nodiscard]] bool may_acquire(core::NodeId receiver, Priority cls) const {
-    return eligible(pools_[index_of(receiver)], cls);
+    return eligible(view(receiver), cls);
+  }
+
+  /// Pool records this bank has materialized: the edges that have
+  /// carried traffic (or a fault) since construction or the last remap.
+  [[nodiscard]] std::size_t pools_materialized() const {
+    return pools_.size();
   }
 
   /// Times a critical acquire was satisfied from a reserved lane (the
@@ -182,7 +199,8 @@ class CreditBank {
   /// total, reserved-lane holds are attributed to classes entitled to
   /// them, and a waiter can only be parked while every credit its class
   /// may use is taken (with no reservations: while the pool is
-  /// exhausted).
+  /// exhausted). Only materialized pools are walked: an untouched pool is
+  /// the fresh state, which satisfies every clause.
   [[nodiscard]] bool conserved() const {
     for (const Pool& p : pools_) {
       if (p.count < 0 || p.in_use < 0) return false;
@@ -249,67 +267,53 @@ class CreditBank {
   };
 
   /// Incrementally remap the bank to a new sorted out-neighbor list:
-  /// pools for kept edges are moved over untouched (their buffer sets
-  /// are reused, not reallocated), pools for added edges start fresh at
-  /// the per-edge limit, pools for removed edges are dropped. The bank
-  /// must be idle() — the Runtime quiesces the request path first.
+  /// kept edges keep their buffer sets, added edges start fresh at the
+  /// per-edge limit, removed edges are dropped. The bank must be idle()
+  /// and conserved() — the Runtime quiesces the request path first — so
+  /// every pool is in its fresh state and none needs carrying over: the
+  /// new edges all start untouched. The stats count edges (the model's
+  /// buffer sets), not host pool records.
   RemapStats apply_remap(const std::vector<core::NodeId>& new_neighbors) {
     assert(std::is_sorted(new_neighbors.begin(), new_neighbors.end()));
     VTOPO_CHECK_ALWAYS(idle(), "apply_remap on a non-idle credit bank");
+    VTOPO_CHECK_ALWAYS(conserved(), "apply_remap on an unconserved bank");
     RemapStats rs;
-    std::vector<core::NodeId> merged_n;
-    std::vector<Pool> merged_p;
-    merged_n.reserve(new_neighbors.size());
-    merged_p.reserve(new_neighbors.size());
     std::size_t i = 0;
     for (const core::NodeId nbr : new_neighbors) {
-      while (i < neighbors_.size() && neighbors_[i] < nbr) {
+      while (i < edges_.size() && edges_[i].nbr < nbr) {
         ++i;
         ++rs.removed;
       }
-      merged_n.push_back(nbr);
-      if (i < neighbors_.size() && neighbors_[i] == nbr) {
-        merged_p.push_back(pools_[i]);
+      if (i < edges_.size() && edges_[i].nbr == nbr) {
         ++i;
         ++rs.kept;
       } else {
-        Pool fresh;
-        fresh.count = limit_;
-        merged_p.push_back(fresh);
         ++rs.added;
       }
     }
-    rs.removed += static_cast<std::int64_t>(neighbors_.size() - i);
-    neighbors_.swap(merged_n);
-    pools_.swap(merged_p);
+    rs.removed += static_cast<std::int64_t>(edges_.size() - i);
+    set_edges(new_neighbors);
     return rs;
   }
 
-  /// Ensure a (possibly non-topology) out-edge pool toward `receiver`
-  /// exists, inserting a fresh full pool when missing. Safe on a live
-  /// bank: pools travel with their neighbor ids and waiter state lives
-  /// in the shared arena, so inserting a slot never invalidates a parked
-  /// waiter. Used by the self-healing overlay, which dedicates direct
-  /// buffers to a target when its dimension-order next hop is dead;
-  /// conservation holds per pool (the new pool starts at the limit).
-  /// Returns true when a pool was inserted.
+  /// Ensure a (possibly non-topology) out-edge toward `receiver` exists,
+  /// inserting an untouched (full) edge when missing. Safe on a live
+  /// bank: a parked waiter refers to its pool record, which inserting an
+  /// edge never moves. Used by the self-healing overlay, which dedicates
+  /// direct buffers to a target when its dimension-order next hop is
+  /// dead; conservation holds per pool (the new pool starts at the
+  /// limit). Returns true when an edge was inserted.
   bool ensure_edge(core::NodeId receiver) {
-    const auto it =
-        std::lower_bound(neighbors_.begin(), neighbors_.end(), receiver);
-    if (it != neighbors_.end() && *it == receiver) return false;
-    const auto at = static_cast<std::size_t>(it - neighbors_.begin());
-    neighbors_.insert(it, receiver);
-    Pool fresh;
-    fresh.count = limit_;
-    pools_.insert(pools_.begin() + static_cast<std::ptrdiff_t>(at), fresh);
+    const auto it = lower_bound(receiver);
+    if (it != edges_.end() && it->nbr == receiver) return false;
+    edges_.insert(it, Edge{receiver, kNil});
     return true;
   }
 
-  /// True when the bank has a pool toward `receiver`.
+  /// True when the bank has an edge toward `receiver`.
   [[nodiscard]] bool has_edge(core::NodeId receiver) const {
-    const auto it =
-        std::lower_bound(neighbors_.begin(), neighbors_.end(), receiver);
-    return it != neighbors_.end() && *it == receiver;
+    const auto it = lower_bound(receiver);
+    return it != edges_.end() && it->nbr == receiver;
   }
 
   /// Buffer-exhaustion fault: move every currently free credit of the
@@ -318,7 +322,7 @@ class CreditBank {
   /// so validate checks stay meaningful during the outage. Returns the
   /// number of credits seized.
   std::int64_t seize(core::NodeId receiver) {
-    Pool& p = pools_[index_of(receiver)];
+    Pool& p = pools_[touch(receiver)];
     const std::int64_t taken = p.count;
     p.in_use += taken;
     // Seized credits are booked as shared bulk holds: the fault models a
@@ -337,32 +341,63 @@ class CreditBank {
     }
   }
 
-  /// Rebuild-from-scratch alternative to apply_remap(): every pool of
-  /// the new neighbor list is reallocated, every old pool torn down,
-  /// regardless of overlap. Exists so the reconfiguration bench can
+  /// Full-rebuild alternative to apply_remap(): every edge of
+  /// the new neighbor list counts as reallocated, every old edge as torn
+  /// down, regardless of overlap. Exists so the reconfiguration bench can
   /// price the naive strategy against the incremental one.
   RemapStats rebuild(const std::vector<core::NodeId>& new_neighbors) {
     assert(std::is_sorted(new_neighbors.begin(), new_neighbors.end()));
     VTOPO_CHECK_ALWAYS(idle(), "rebuild on a non-idle credit bank");
+    VTOPO_CHECK_ALWAYS(conserved(), "rebuild on an unconserved bank");
     RemapStats rs;
-    rs.removed = static_cast<std::int64_t>(neighbors_.size());
+    rs.removed = static_cast<std::int64_t>(edges_.size());
     rs.added = static_cast<std::int64_t>(new_neighbors.size());
-    neighbors_ = new_neighbors;
-    pools_.assign(new_neighbors.size(), Pool{});
-    for (Pool& p : pools_) p.count = limit_;
+    set_edges(new_neighbors);
     return rs;
   }
 
  private:
-  [[nodiscard]] std::size_t index_of(core::NodeId receiver) const {
-    const auto it =
-        std::lower_bound(neighbors_.begin(), neighbors_.end(), receiver);
-    assert(it != neighbors_.end() && *it == receiver &&
-           "credit requested for a non-neighbor");
-    return static_cast<std::size_t>(it - neighbors_.begin());
+  /// Replace the edge list by `neighbors`, all untouched, dropping every
+  /// pool record (callers guarantee each was in its fresh state).
+  void set_edges(const std::vector<core::NodeId>& neighbors) {
+    edges_.clear();
+    edges_.reserve(neighbors.size());
+    for (const core::NodeId nbr : neighbors) edges_.push_back(Edge{nbr});
+    pools_.clear();
   }
 
-  void park(std::size_t idx, std::coroutine_handle<> h, Priority cls) {
+  [[nodiscard]] std::vector<Edge>::const_iterator lower_bound(
+      core::NodeId receiver) const {
+    return std::lower_bound(
+        edges_.begin(), edges_.end(), receiver,
+        [](const Edge& e, core::NodeId r) { return e.nbr < r; });
+  }
+
+  [[nodiscard]] std::size_t index_of(core::NodeId receiver) const {
+    const auto it = lower_bound(receiver);
+    assert(it != edges_.end() && it->nbr == receiver &&
+           "credit requested for a non-neighbor");
+    return static_cast<std::size_t>(it - edges_.begin());
+  }
+
+  /// The edge's pool, or the fresh state when it was never touched.
+  [[nodiscard]] const Pool& view(core::NodeId receiver) const {
+    const std::uint32_t pool = edges_[index_of(receiver)].pool;
+    return pool == kNil ? fresh_ : pools_[pool];
+  }
+
+  /// Index of the edge's pool record, materializing it from the fresh
+  /// state on first use.
+  std::uint32_t touch(core::NodeId receiver) {
+    Edge& e = edges_[index_of(receiver)];
+    if (e.pool == kNil) {
+      e.pool = static_cast<std::uint32_t>(pools_.size());
+      pools_.push_back(fresh_);
+    }
+    return e.pool;
+  }
+
+  void park(std::uint32_t pool, std::coroutine_handle<> h, Priority cls) {
     std::uint32_t w;
     if (free_ != kNil) {
       w = free_;
@@ -374,7 +409,7 @@ class CreditBank {
     arena_[w].h = h;
     arena_[w].next = kNil;
     arena_[w].cls = cls;
-    Pool& p = pools_[idx];
+    Pool& p = pools_[pool];
     if (p.tail == kNil) {
       p.head = w;
     } else {
@@ -470,9 +505,10 @@ class CreditBank {
   sim::Engine* eng_;
   const QosParams* qos_ = nullptr;
   std::int64_t limit_ = 0;      ///< credits_per_edge at construction
-  std::vector<core::NodeId> neighbors_;
-  std::vector<Pool> pools_;
-  std::vector<Waiter> arena_;   ///< shared by all slots of this bank
+  Pool fresh_;                  ///< an untouched pool: count == limit_
+  std::vector<Edge> edges_;     ///< sorted by nbr
+  std::vector<Pool> pools_;     ///< touched pools only
+  std::vector<Waiter> arena_;   ///< shared by all pools of this bank
   std::uint32_t free_ = kNil;   ///< head of recycled arena entries
   std::uint64_t reserved_grants_ = 0;
   sim::TimeNs blocked_ns_ = 0;

@@ -10,7 +10,7 @@
 // the old queue and the figure goldens stay byte-identical.
 //
 // Shutdown poison is a flag, not a queued item: it is delivered only
-// once every class deque has drained, which both keeps the weighted
+// once every class FIFO has drained, which both keeps the weighted
 // dequeue from reordering a request behind the poison and makes
 // backlog() naturally exclude it.
 #pragma once
@@ -19,8 +19,8 @@
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <utility>
+#include <vector>
 
 #include "armci/params.hpp"
 #include "armci/request.hpp"
@@ -40,7 +40,7 @@ class QosQueue {
     wake();
   }
 
-  /// Arm shutdown: pop() returns nullptr once all deques are empty.
+  /// Arm shutdown: pop() returns nullptr once all FIFOs are empty.
   void poison() {
     poison_ = true;
     wake();
@@ -75,6 +75,30 @@ class QosQueue {
   struct Entry {
     RequestPtr r;
     std::uint64_t seq = 0;  ///< global push order (FIFO tie-break)
+  };
+
+  /// One class's FIFO: a vector plus a head index. Unlike std::deque it
+  /// allocates nothing until its first push, so the CHTs of nodes that
+  /// never receive a request cost no heap. Popped slots are reclaimed
+  /// when the FIFO drains or is half consumed (amortized O(1) per pop).
+  struct Fifo {
+    std::vector<Entry> v;
+    std::size_t head = 0;
+
+    [[nodiscard]] bool empty() const { return head == v.size(); }
+    [[nodiscard]] std::size_t size() const { return v.size() - head; }
+    [[nodiscard]] Entry& front() { return v[head]; }
+    [[nodiscard]] const Entry& front() const { return v[head]; }
+    void push_back(Entry e) { v.push_back(std::move(e)); }
+    void pop_front() {
+      if (++head == v.size()) {
+        v.clear();
+        head = 0;
+      } else if (2 * head >= v.size()) {
+        v.erase(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(head));
+        head = 0;
+      }
+    }
   };
 
   void wake() {
@@ -115,7 +139,7 @@ class QosQueue {
     }
     std::size_t pick;
     if (!qos_on()) {
-      // FIFO-exact: the globally oldest head across the class deques.
+      // FIFO-exact: the globally oldest head across the class FIFOs.
       pick = oldest_head();
     } else {
       pick = select_drr();
@@ -138,7 +162,7 @@ class QosQueue {
     return best;
   }
 
-  /// Weighted deficit round-robin over the class deques with aging.
+  /// Weighted deficit round-robin over the class FIFOs with aging.
   /// Among non-empty classes holding round credit, the one whose head
   /// has the highest aged effective class wins (ties broken FIFO by
   /// push sequence); when every non-empty class has exhausted its
@@ -172,7 +196,7 @@ class QosQueue {
 
   sim::Engine* eng_;
   const QosParams* qos_;
-  std::deque<Entry> q_[kNumPriorities];
+  Fifo q_[kNumPriorities];
   std::uint64_t next_seq_ = 0;
   int credits_[kNumPriorities] = {0, 0, 0};
   std::uint64_t aged_ = 0;

@@ -8,6 +8,9 @@ namespace vtopo::core {
 
 Shape::Shape(std::vector<std::int32_t> dims) : dims_(std::move(dims)) {
   if (dims_.empty()) throw std::invalid_argument("Shape: empty dims");
+  if (dims_.size() > static_cast<std::size_t>(kMaxRank)) {
+    throw std::invalid_argument("Shape: rank beyond kMaxRank");
+  }
   capacity_ = 1;
   for (auto d : dims_) {
     if (d <= 0) throw std::invalid_argument("Shape: non-positive extent");

@@ -21,7 +21,13 @@ using NodeId = std::int32_t;
 
 inline constexpr NodeId kInvalidNode = -1;
 
-/// Extents of a k-dimensional grid, dimension 0 fastest-varying.
+/// Largest grid rank a Shape accepts. Per-call coordinate buffers are
+/// stack arrays of this size; 32 covers the hypercube of any NodeId
+/// range (2^31 nodes).
+inline constexpr int kMaxRank = 32;
+
+/// Extents of a k-dimensional grid (1 <= k <= kMaxRank), dimension 0
+/// fastest-varying.
 class Shape {
  public:
   Shape() = default;

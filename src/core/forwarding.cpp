@@ -30,9 +30,8 @@ Router::Router(Shape shape, std::int64_t populated, ForwardingPolicy policy)
   }
 }
 
-void Router::dim_order(NodeId src, std::vector<int>& out) const {
-  const int k = shape_.rank();
-  out.resize(static_cast<std::size_t>(k));
+void Router::dim_order(NodeId src, std::span<int> out) const {
+  const auto k = static_cast<int>(out.size());
   std::iota(out.begin(), out.end(), 0);
   switch (policy_) {
     case ForwardingPolicy::kLowestDimFirst:
@@ -61,23 +60,20 @@ NodeId Router::next_hop(NodeId src, NodeId dst) const {
   assert(dst >= 0 && dst <= max_node_);
   if (src == dst) return dst;
 
-  const int k = shape_.rank();
-  std::int32_t cs[16];
-  std::int32_t ct[16];
-  assert(k <= 16 && "grid rank beyond supported bound");
-  shape_.to_coords(src, {cs, static_cast<std::size_t>(k)});
-  shape_.to_coords(dst, {ct, static_cast<std::size_t>(k)});
-
-  std::vector<int> order;
-  dim_order(src, order);
-  for (const int i : order) {
+  const auto k = static_cast<std::size_t>(shape_.rank());
+  std::int32_t cs[kMaxRank];
+  std::int32_t ct[kMaxRank];
+  int order[kMaxRank];
+  shape_.to_coords(src, {cs, k});
+  shape_.to_coords(dst, {ct, k});
+  dim_order(src, {order, k});
+  for (const int i : std::span<const int>(order, k)) {
     const auto ui = static_cast<std::size_t>(i);
     if (cs[ui] == ct[ui]) continue;
     // Candidate D: replace dimension i of S with T's coordinate.
     const std::int32_t saved = cs[ui];
     cs[ui] = ct[ui];
-    const NodeId d =
-        shape_.to_node({cs, static_cast<std::size_t>(k)});
+    const NodeId d = shape_.to_node({cs, k});
     cs[ui] = saved;
     // Partial-population guard (Sec. IV-B): only forward to nodes that
     // exist. A valid candidate always exists when src, dst <= M because

@@ -9,6 +9,7 @@
 // order (NOT deadlock-free; see core/dependency_graph.hpp).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/coords.hpp"
@@ -50,7 +51,8 @@ class Router {
   [[nodiscard]] int max_forwards() const { return shape_.rank() - 1; }
 
  private:
-  void dim_order(NodeId src, std::vector<int>& out) const;
+  /// Fill `out` (size rank()) with the dimension visiting order at src.
+  void dim_order(NodeId src, std::span<int> out) const;
 
   Shape shape_;
   NodeId max_node_;

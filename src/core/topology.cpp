@@ -69,7 +69,8 @@ std::vector<NodeId> VirtualTopology::neighbors(NodeId node) const {
   assert(node >= 0 && node < num_nodes_);
   const Shape& sh = shape();
   const int k = sh.rank();
-  std::vector<std::int32_t> c(static_cast<std::size_t>(k));
+  std::int32_t buf[kMaxRank];
+  const std::span<std::int32_t> c(buf, static_cast<std::size_t>(k));
   sh.to_coords(node, c);
   std::vector<NodeId> out;
   for (int i = 0; i < k; ++i) {
@@ -91,7 +92,8 @@ std::int64_t VirtualTopology::degree(NodeId node) const {
   assert(node >= 0 && node < num_nodes_);
   const Shape& sh = shape();
   const int k = sh.rank();
-  std::vector<std::int32_t> c(static_cast<std::size_t>(k));
+  std::int32_t buf[kMaxRank];
+  const std::span<std::int32_t> c(buf, static_cast<std::size_t>(k));
   sh.to_coords(node, c);
   std::int64_t deg = 0;
   for (int i = 0; i < k; ++i) {
@@ -111,16 +113,14 @@ bool VirtualTopology::connected(NodeId a, NodeId b) const {
   assert(a >= 0 && a < num_nodes_ && b >= 0 && b < num_nodes_);
   if (a == b) return false;
   const Shape& sh = shape();
-  const int k = sh.rank();
-  std::vector<std::int32_t> ca(static_cast<std::size_t>(k));
-  std::vector<std::int32_t> cb(static_cast<std::size_t>(k));
-  sh.to_coords(a, ca);
-  sh.to_coords(b, cb);
+  const auto k = static_cast<std::size_t>(sh.rank());
+  std::int32_t ca[kMaxRank];
+  std::int32_t cb[kMaxRank];
+  sh.to_coords(a, {ca, k});
+  sh.to_coords(b, {cb, k});
   int diff = 0;
-  for (int i = 0; i < k; ++i) {
-    if (ca[static_cast<std::size_t>(i)] != cb[static_cast<std::size_t>(i)]) {
-      ++diff;
-    }
+  for (std::size_t i = 0; i < k; ++i) {
+    if (ca[i] != cb[i]) ++diff;
   }
   return diff == 1;
 }

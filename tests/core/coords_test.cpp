@@ -23,6 +23,14 @@ TEST(Shape, RejectsEmptyAndNonPositive) {
   EXPECT_THROW(Shape({-1}), std::invalid_argument);
 }
 
+TEST(Shape, RankBoundedByMaxRank) {
+  // Per-call coordinate buffers are stack arrays of kMaxRank entries.
+  const auto k = static_cast<std::size_t>(kMaxRank);
+  EXPECT_NO_THROW(Shape(std::vector<std::int32_t>(k, 2)));
+  EXPECT_THROW(Shape(std::vector<std::int32_t>(k + 1, 1)),
+               std::invalid_argument);
+}
+
 TEST(Shape, CoordsRoundTripLowestDimensionFastest) {
   Shape s({3, 4});
   std::array<std::int32_t, 2> c{};

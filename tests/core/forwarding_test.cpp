@@ -32,6 +32,17 @@ TEST(Ldf, ThreeDimRouteOrder) {
   EXPECT_EQ(r.route(0, 26), (std::vector<NodeId>{2, 8, 26}));
 }
 
+TEST(Ldf, RoutesOnRankTwentyHypercube) {
+  // 2^20 nodes: rank 20, past the old 16-entry coordinate buffers. LDF
+  // flips the lowest differing bit first.
+  Router r(hypercube_shape_for(1 << 20), 1 << 20);
+  const NodeId last = (1 << 20) - 1;
+  EXPECT_EQ(r.next_hop(0, last), 1);
+  const std::vector<NodeId> hops = r.route(0, last);
+  ASSERT_EQ(hops.size(), 20u);
+  EXPECT_EQ(hops.back(), last);
+}
+
 TEST(Ldf, RouteToSelfIsEmpty) {
   Router r(Shape({4, 4}), 16);
   for (NodeId v = 0; v < 16; ++v) EXPECT_TRUE(r.route(v, v).empty());
