@@ -7,11 +7,10 @@
 //
 // Unlike the figure benches this is a *flood* (no turn-taking barrier
 // between ranks): host-side work is O(N * K), which is what makes the
-// large points tractable. FCG is swept only to 4k processes — its
-// per-node credit state is O(N) (every node neighbors every other), so
-// the full-graph points would measure allocator thrashing, exactly the
-// scaling wall Figure 5 documents; those points print an explicit
-// "skipped" marker instead of silently vanishing from the table.
+// large points tractable. Every topology, FCG included, runs at every
+// size: a credit bank reads adjacency from the topology and records only
+// the edges that carry traffic, so even FCG's all-to-all graph costs no
+// per-peer host state.
 //
 // --backend threads runs the sweep on the real std::thread transport
 // instead of the simulator: one OS thread per node, wall-clock
@@ -226,8 +225,7 @@ int main(int argc, char** argv) {
   const std::int64_t path_ops =
       args.get_int("--path-ops", quick ? 6'400 : 64'000);
   // The paper-scale point: 1,048,576 processes (262,144 nodes) peak near
-  // 5.3 GB: 8 B per MFCG edge of the credit banks (2.0 GiB) plus ~3.2 KB
-  // per process; --big-procs lowers it on a smaller host.
+  // 3.3 GB, ~3.2 KB per process; --big-procs lowers it on a smaller host.
   const std::int64_t big_procs =
       args.get_int("--big-procs", quick ? 16384 : 1048576);
   const int big_ops =
@@ -272,10 +270,9 @@ int main(int argc, char** argv) {
       vtopo::core::TopologyKind::kFcg, vtopo::core::TopologyKind::kMfcg,
       vtopo::core::TopologyKind::kCfcg,
       vtopo::core::TopologyKind::kHypercube};
-  constexpr std::int64_t kFcgMaxProcs = 4096;
   // One OS thread per node on the real backend: past 1024 processes
   // (256 worker threads) the sweep measures the host scheduler, not the
-  // transport — mirror the FCG wall with an explicit marker.
+  // transport — those points print an explicit "skipped" marker.
   constexpr std::int64_t kThreadsMaxProcs = 1024;
 
   std::vector<Point> points;
@@ -288,14 +285,6 @@ int main(int argc, char** argv) {
   }
   for (std::int64_t procs = 1024; procs <= max_procs; procs *= 4) {
     for (const auto kind : kinds) {
-      if (kind == vtopo::core::TopologyKind::kFcg &&
-          procs > kFcgMaxProcs) {
-        std::printf("%-7s %8lld %7lld  skipped (O(N^2) memory: full-graph "
-                    "credit state)\n",
-                    "FCG", static_cast<long long>(procs),
-                    static_cast<long long>(procs / 4));
-        continue;
-      }
       if (threads && procs > kThreadsMaxProcs) {
         std::printf("%-7s %8lld %7lld  skipped (threads backend: one OS "
                     "thread per node)\n",
@@ -336,14 +325,12 @@ int main(int argc, char** argv) {
                "  \"fetchadd_ops_per_sec\": %.1f,\n"
                "  \"request_pool\": {\"created\": %llu, \"reused\": %llu},\n"
                "  \"frame_pool\": {\"created\": %llu, \"reused\": %llu},\n"
-               "  \"fcg_skipped_above_procs\": %lld,\n"
                "  \"weak_scaling\": [\n",
                backend_name.c_str(), host_cores, mps, path.ops_per_sec,
                static_cast<unsigned long long>(path.req_created),
                static_cast<unsigned long long>(path.req_reused),
                static_cast<unsigned long long>(path.frames_created),
-               static_cast<unsigned long long>(path.frames_reused),
-               static_cast<long long>(kFcgMaxProcs));
+               static_cast<unsigned long long>(path.frames_reused));
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Point& pt = points[i];
     std::fprintf(f,

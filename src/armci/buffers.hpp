@@ -10,14 +10,18 @@
 // hold-and-wait that makes arbitrary forwarding orders deadlock.
 //
 // Storage is sized by traffic, not by topology (the paper's Sec. III
-// point: buffers for peers a node never talks to cost nothing). The bank
-// keeps one 8-byte edge record per topology out-neighbor, sorted by
-// neighbor id, holding a 4-byte index into a vector of pool records that
-// are materialized on first use. An untouched edge is a full pool by
-// construction, so the const readers report that fresh state without
-// allocating, and a bank costs 8 B per untouched edge plus one pool
-// record per touched edge. The per-send credit probe stays a binary
-// search over the sorted edges plus an int decrement — no hash, no
+// point: buffers for peers a node never talks to cost nothing). A bank
+// built on a VirtualTopology reads adjacency from it — two nodes are
+// adjacent when they differ in exactly one grid coordinate, an O(rank)
+// check with no allocation — so it stores no per-peer state at all for
+// an untouched edge. The bank keeps one 8-byte edge record per edge that
+// has carried traffic or was added explicitly (a self-healing overlay
+// edge, or every edge of a bank built from an explicit neighbor list),
+// sorted by neighbor id and holding a 4-byte index into a vector of pool
+// records that are materialized on first use. An untouched edge is a
+// full pool by construction, so the const readers report that fresh
+// state without allocating. The per-send credit probe stays a binary
+// search over the edge records plus an int decrement — no hash, no
 // per-pool Semaphore object. Waiting coroutines queue FIFO through a
 // waiter arena shared by all pools of the bank; release() hands the
 // credit straight to the oldest waiter (count unchanged), preserving the
@@ -31,19 +35,21 @@
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <utility>
 #include <vector>
 
 #include "armci/params.hpp"
 #include "armci/request.hpp"
 #include "core/coords.hpp"
+#include "core/topology.hpp"
 #include "sim/engine.hpp"
 #include "sim/validate.hpp"
 
 namespace vtopo::armci {
 
-/// Sender-side credit pools on one node: one edge record per
-/// out-neighbor, one pool record per edge that has carried traffic.
+/// Sender-side credit pools on one node: one edge record per touched or
+/// explicit out-edge, one pool record per edge that has carried traffic.
 ///
 /// With QoS armed (QosParams::enabled and nonzero reservations) each pool
 /// is notionally partitioned into three lanes: a critical-only lane of
@@ -75,8 +81,8 @@ class CreditBank {
     std::uint32_t nwait = 0;
   };
 
-  /// One out-edge: the neighbor id (the binary-search key) and the index
-  /// of its pool in pools_, kNil while the edge is untouched.
+  /// One recorded out-edge: the neighbor id (the binary-search key) and
+  /// the index of its pool in pools_, kNil while the edge is untouched.
   struct Edge {
     core::NodeId nbr;
     std::uint32_t pool = kNil;
@@ -89,10 +95,11 @@ class CreditBank {
   };
 
  public:
-  /// `neighbors` must be the node's direct-edge peers in ascending order
-  /// (core::VirtualTopology::neighbors() order). `qos` may be null (no
-  /// reserved lanes ever) or point at long-lived params whose
-  /// reservations are read live on every acquire/release.
+  /// A bank over an explicit edge list. `neighbors` must be the node's
+  /// direct-edge peers in ascending order (core::VirtualTopology::
+  /// neighbors() order). `qos` may be null (no reserved lanes ever) or
+  /// point at long-lived params whose reservations are read live on every
+  /// acquire/release.
   CreditBank(sim::Engine& eng, std::int64_t credits_per_edge,
              const std::vector<core::NodeId>& neighbors,
              const QosParams* qos = nullptr)
@@ -100,6 +107,23 @@ class CreditBank {
     assert(std::is_sorted(neighbors.begin(), neighbors.end()));
     fresh_.count = credits_per_edge;
     set_edges(neighbors);
+  }
+
+  /// A bank for node `self` whose edges are `topo`'s: every node
+  /// connected to `self` is an out-neighbor, with no per-edge record
+  /// until the edge carries traffic. `topo` must outlive the bank's use
+  /// of it (the Runtime passes its installed topology, whose address
+  /// stays fixed across reconfigurations).
+  CreditBank(sim::Engine& eng, std::int64_t credits_per_edge,
+             const core::VirtualTopology* topo, core::NodeId self,
+             const QosParams* qos = nullptr)
+      : eng_(&eng),
+        qos_(qos),
+        topo_(topo),
+        self_(self),
+        limit_(credits_per_edge) {
+    assert(topo != nullptr && self >= 0 && self < topo->num_nodes());
+    fresh_.count = credits_per_edge;
   }
 
   struct [[nodiscard]] Acquire {
@@ -187,6 +211,12 @@ class CreditBank {
     return pools_.size();
   }
 
+  /// Edge records this bank holds: its touched edges plus any explicit
+  /// or overlay edge. A topology-backed bank's untouched edges have none.
+  [[nodiscard]] std::size_t edges_materialized() const {
+    return edges_.size();
+  }
+
   /// Times a critical acquire was satisfied from a reserved lane (the
   /// shared lane was drained; without the reservation it would have
   /// parked behind bulk).
@@ -272,48 +302,41 @@ class CreditBank {
   /// and conserved() — the Runtime quiesces the request path first — so
   /// every pool is in its fresh state and none needs carrying over: the
   /// new edges all start untouched. The stats count edges (the model's
-  /// buffer sets), not host pool records.
+  /// buffer sets), not host records. Afterwards the bank's edges are
+  /// exactly `new_neighbors`, held as explicit records.
   RemapStats apply_remap(const std::vector<core::NodeId>& new_neighbors) {
-    assert(std::is_sorted(new_neighbors.begin(), new_neighbors.end()));
-    VTOPO_CHECK_ALWAYS(idle(), "apply_remap on a non-idle credit bank");
-    VTOPO_CHECK_ALWAYS(conserved(), "apply_remap on an unconserved bank");
-    RemapStats rs;
-    std::size_t i = 0;
-    for (const core::NodeId nbr : new_neighbors) {
-      while (i < edges_.size() && edges_[i].nbr < nbr) {
-        ++i;
-        ++rs.removed;
-      }
-      if (i < edges_.size() && edges_[i].nbr == nbr) {
-        ++i;
-        ++rs.kept;
-      } else {
-        ++rs.added;
-      }
-    }
-    rs.removed += static_cast<std::int64_t>(edges_.size() - i);
-    set_edges(new_neighbors);
-    return rs;
+    return remap(new_neighbors, nullptr, /*incremental=*/true);
+  }
+
+  /// Incremental remap of a topology-backed bank onto `next`: the same
+  /// edge counts as apply_remap(next.neighbors(self)), but afterwards the
+  /// bank reads its edges from `next` and holds no edge record. `next`
+  /// must outlive the bank's use of it — the Runtime remaps onto the
+  /// topology object it then installs.
+  RemapStats apply_remap(const core::VirtualTopology& next) {
+    return remap(next.neighbors(self()), &next, /*incremental=*/true);
   }
 
   /// Ensure a (possibly non-topology) out-edge toward `receiver` exists,
-  /// inserting an untouched (full) edge when missing. Safe on a live
+  /// recording an untouched (full) edge when missing. Safe on a live
   /// bank: a parked waiter refers to its pool record, which inserting an
-  /// edge never moves. Used by the self-healing overlay, which dedicates
-  /// direct buffers to a target when its dimension-order next hop is
-  /// dead; conservation holds per pool (the new pool starts at the
-  /// limit). Returns true when an edge was inserted.
+  /// edge record never moves. Used by the self-healing overlay, which
+  /// dedicates direct buffers to a target when its dimension-order next
+  /// hop is dead; conservation holds per pool (the new pool starts at
+  /// the limit). Returns true when an edge was added.
   bool ensure_edge(core::NodeId receiver) {
-    const auto it = lower_bound(receiver);
-    if (it != edges_.end() && it->nbr == receiver) return false;
-    edges_.insert(it, Edge{receiver, kNil});
+    const std::size_t i = lower_bound(receiver);
+    if (recorded(i, receiver) || topology_edge(receiver)) return false;
+    edges_.insert(edges_.begin() + static_cast<std::ptrdiff_t>(i),
+                  Edge{receiver});
     return true;
   }
 
-  /// True when the bank has an edge toward `receiver`.
+  /// True when the bank has an edge toward `receiver` (explicit, overlay
+  /// or topology). Materializes nothing.
   [[nodiscard]] bool has_edge(core::NodeId receiver) const {
-    const auto it = lower_bound(receiver);
-    return it != edges_.end() && it->nbr == receiver;
+    return recorded(lower_bound(receiver), receiver) ||
+           topology_edge(receiver);
   }
 
   /// Buffer-exhaustion fault: move every currently free credit of the
@@ -346,19 +369,80 @@ class CreditBank {
   /// down, regardless of overlap. Exists so the reconfiguration bench can
   /// price the naive strategy against the incremental one.
   RemapStats rebuild(const std::vector<core::NodeId>& new_neighbors) {
-    assert(std::is_sorted(new_neighbors.begin(), new_neighbors.end()));
-    VTOPO_CHECK_ALWAYS(idle(), "rebuild on a non-idle credit bank");
-    VTOPO_CHECK_ALWAYS(conserved(), "rebuild on an unconserved bank");
-    RemapStats rs;
-    rs.removed = static_cast<std::int64_t>(edges_.size());
-    rs.added = static_cast<std::int64_t>(new_neighbors.size());
-    set_edges(new_neighbors);
-    return rs;
+    return remap(new_neighbors, nullptr, /*incremental=*/false);
+  }
+
+  /// Full rebuild of a topology-backed bank onto `next` (see the
+  /// topology overload of apply_remap()).
+  RemapStats rebuild(const core::VirtualTopology& next) {
+    return remap(next.neighbors(self()), &next, /*incremental=*/false);
   }
 
  private:
-  /// Replace the edge list by `neighbors`, all untouched, dropping every
-  /// pool record (callers guarantee each was in its fresh state).
+  /// The node this topology-backed bank belongs to.
+  [[nodiscard]] core::NodeId self() const {
+    VTOPO_CHECK_ALWAYS(topo_ != nullptr,
+                       "topology remap of an explicit-edge credit bank");
+    return self_;
+  }
+
+  /// Every edge the bank has: the topology's (when backed by one) plus
+  /// the explicit and overlay records, ascending. Only built at remap
+  /// time.
+  [[nodiscard]] std::vector<core::NodeId> edge_set() const {
+    std::vector<core::NodeId> recs;
+    recs.reserve(edges_.size());
+    for (const Edge& e : edges_) recs.push_back(e.nbr);
+    if (topo_ == nullptr) return recs;
+    const std::vector<core::NodeId> nbrs = topo_->neighbors(self_);
+    std::vector<core::NodeId> all;
+    all.reserve(nbrs.size() + recs.size());
+    std::set_union(nbrs.begin(), nbrs.end(), recs.begin(), recs.end(),
+                   std::back_inserter(all));
+    return all;
+  }
+
+  /// Shared body of the remaps: count the edge delta from edge_set() to
+  /// `new_neighbors`, then make the bank's edges `next_topo`'s (holding
+  /// no record) or, without one, exactly `new_neighbors`.
+  RemapStats remap(const std::vector<core::NodeId>& new_neighbors,
+                   const core::VirtualTopology* next_topo,
+                   bool incremental) {
+    assert(std::is_sorted(new_neighbors.begin(), new_neighbors.end()));
+    VTOPO_CHECK_ALWAYS(idle(), "remap of a non-idle credit bank");
+    VTOPO_CHECK_ALWAYS(conserved(), "remap of an unconserved credit bank");
+    const std::vector<core::NodeId> old = edge_set();
+    RemapStats rs;
+    if (incremental) {
+      std::size_t i = 0;
+      for (const core::NodeId nbr : new_neighbors) {
+        while (i < old.size() && old[i] < nbr) {
+          ++i;
+          ++rs.removed;
+        }
+        if (i < old.size() && old[i] == nbr) {
+          ++i;
+          ++rs.kept;
+        } else {
+          ++rs.added;
+        }
+      }
+      rs.removed += static_cast<std::int64_t>(old.size() - i);
+    } else {
+      rs.removed = static_cast<std::int64_t>(old.size());
+      rs.added = static_cast<std::int64_t>(new_neighbors.size());
+    }
+    topo_ = next_topo;
+    if (next_topo == nullptr) {
+      set_edges(new_neighbors);
+    } else {
+      set_edges({});
+    }
+    return rs;
+  }
+
+  /// Replace the edge records by `neighbors`, all untouched, dropping
+  /// every pool record (callers guarantee each was in its fresh state).
   void set_edges(const std::vector<core::NodeId>& neighbors) {
     edges_.clear();
     edges_.reserve(neighbors.size());
@@ -366,30 +450,47 @@ class CreditBank {
     pools_.clear();
   }
 
-  [[nodiscard]] std::vector<Edge>::const_iterator lower_bound(
-      core::NodeId receiver) const {
-    return std::lower_bound(
-        edges_.begin(), edges_.end(), receiver,
-        [](const Edge& e, core::NodeId r) { return e.nbr < r; });
+  /// Index of the first edge record not below `receiver`.
+  [[nodiscard]] std::size_t lower_bound(core::NodeId receiver) const {
+    return static_cast<std::size_t>(
+        std::lower_bound(
+            edges_.begin(), edges_.end(), receiver,
+            [](const Edge& e, core::NodeId r) { return e.nbr < r; }) -
+        edges_.begin());
   }
 
-  [[nodiscard]] std::size_t index_of(core::NodeId receiver) const {
-    const auto it = lower_bound(receiver);
-    assert(it != edges_.end() && it->nbr == receiver &&
-           "credit requested for a non-neighbor");
-    return static_cast<std::size_t>(it - edges_.begin());
+  /// True when edge record `i` (a lower_bound() result) is `receiver`'s.
+  [[nodiscard]] bool recorded(std::size_t i, core::NodeId receiver) const {
+    return i < edges_.size() && edges_[i].nbr == receiver;
+  }
+
+  /// True when the backing topology connects this node to `receiver`.
+  [[nodiscard]] bool topology_edge(core::NodeId receiver) const {
+    return topo_ != nullptr && topo_->connected(self_, receiver);
   }
 
   /// The edge's pool, or the fresh state when it was never touched.
   [[nodiscard]] const Pool& view(core::NodeId receiver) const {
-    const std::uint32_t pool = edges_[index_of(receiver)].pool;
-    return pool == kNil ? fresh_ : pools_[pool];
+    const std::size_t i = lower_bound(receiver);
+    if (recorded(i, receiver)) {
+      const std::uint32_t pool = edges_[i].pool;
+      return pool == kNil ? fresh_ : pools_[pool];
+    }
+    assert(topology_edge(receiver) && "credit requested for a non-neighbor");
+    return fresh_;
   }
 
-  /// Index of the edge's pool record, materializing it from the fresh
-  /// state on first use.
+  /// Index of the edge's pool record, materializing the edge record and
+  /// the pool from the fresh state on first use.
   std::uint32_t touch(core::NodeId receiver) {
-    Edge& e = edges_[index_of(receiver)];
+    const std::size_t i = lower_bound(receiver);
+    if (!recorded(i, receiver)) {
+      assert(topology_edge(receiver) &&
+             "credit requested for a non-neighbor");
+      edges_.insert(edges_.begin() + static_cast<std::ptrdiff_t>(i),
+                    Edge{receiver});
+    }
+    Edge& e = edges_[i];
     if (e.pool == kNil) {
       e.pool = static_cast<std::uint32_t>(pools_.size());
       pools_.push_back(fresh_);
@@ -504,9 +605,12 @@ class CreditBank {
 
   sim::Engine* eng_;
   const QosParams* qos_ = nullptr;
+  /// Adjacency source; null for a bank over explicit edges only.
+  const core::VirtualTopology* topo_ = nullptr;
+  core::NodeId self_ = core::kInvalidNode;  ///< the node topo_ is read for
   std::int64_t limit_ = 0;      ///< credits_per_edge at construction
   Pool fresh_;                  ///< an untouched pool: count == limit_
-  std::vector<Edge> edges_;     ///< sorted by nbr
+  std::vector<Edge> edges_;     ///< recorded edges, sorted by nbr
   std::vector<Pool> pools_;     ///< touched pools only
   std::vector<Waiter> arena_;   ///< shared by all pools of this bank
   std::uint32_t free_ = kNil;   ///< head of recycled arena entries

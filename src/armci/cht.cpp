@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 #include <utility>
 
 #include "armci/runtime.hpp"
@@ -182,33 +181,24 @@ void Cht::execute(const RequestPtr& r) {
       break;
     }
     case OpCode::kAcc: {
+      // Accumulate straight from the payload bytes: no staging copy.
+      const std::span<const std::uint8_t> data(r->data);
       std::int64_t off = 0;
       for (const auto& seg : r->segs) {
         const GAddr dst{r->target_proc, seg.target_offset};
-        const auto* bytes = r->data.data() + off;
+        const auto bytes = data.subspan(static_cast<std::size_t>(off),
+                                        static_cast<std::size_t>(seg.bytes));
         switch (r->acc_type) {
-          case AccType::kF64: {
-            const auto n = static_cast<std::size_t>(seg.bytes / 8);
-            std::vector<double> vals(n);
-            std::memcpy(vals.data(), bytes, n * sizeof(double));
-            mem.accumulate_f64(dst, vals, r->scale);
+          case AccType::kF64:
+            mem.accumulate_f64(dst, bytes, r->scale);
             break;
-          }
-          case AccType::kI64: {
-            const auto n = static_cast<std::size_t>(seg.bytes / 8);
-            std::vector<std::int64_t> vals(n);
-            std::memcpy(vals.data(), bytes, n * sizeof(std::int64_t));
-            mem.accumulate_i64(dst, vals,
+          case AccType::kI64:
+            mem.accumulate_i64(dst, bytes,
                                static_cast<std::int64_t>(r->scale));
             break;
-          }
-          case AccType::kF32: {
-            const auto n = static_cast<std::size_t>(seg.bytes / 4);
-            std::vector<float> vals(n);
-            std::memcpy(vals.data(), bytes, n * sizeof(float));
-            mem.accumulate_f32(dst, vals, static_cast<float>(r->scale));
+          case AccType::kF32:
+            mem.accumulate_f32(dst, bytes, static_cast<float>(r->scale));
             break;
-          }
         }
         off += seg.bytes;
       }
@@ -216,69 +206,35 @@ void Cht::execute(const RequestPtr& r) {
     }
     case OpCode::kPutS: {
       const StridedDesc& d = r->strided;
-      std::vector<std::int64_t> idx(static_cast<std::size_t>(d.levels), 0);
-      std::int64_t src_off = 0;
-      for (;;) {
-        std::int64_t remote = d.base_offset;
-        for (int l = 0; l < d.levels; ++l) {
-          remote += idx[static_cast<std::size_t>(l)] *
-                    d.strides[static_cast<std::size_t>(l)];
-        }
-        mem.write(GAddr{r->target_proc, remote},
-                  std::span<const std::uint8_t>(r->data).subspan(
-                      static_cast<std::size_t>(src_off),
-                      static_cast<std::size_t>(d.block_bytes)));
-        src_off += d.block_bytes;
-        int l = 0;
-        for (; l < d.levels; ++l) {
-          if (++idx[static_cast<std::size_t>(l)] <
-              d.counts[static_cast<std::size_t>(l)]) {
-            break;
-          }
-          idx[static_cast<std::size_t>(l)] = 0;
-        }
-        if (l == d.levels) break;
-      }
+      const std::span<const std::uint8_t> data(r->data);
+      const auto block = static_cast<std::size_t>(d.block_bytes);
+      std::size_t src_off = 0;
+      StridedOdometer o = d.blocks();
+      do {
+        mem.write(GAddr{r->target_proc, d.base_offset + o.a()},
+                  data.subspan(src_off, block));
+        src_off += block;
+      } while (o.next());
       break;
     }
     case OpCode::kGetS: {
       const StridedDesc& d = r->strided;
-      resp.data.resize(static_cast<std::size_t>(d.total_bytes()));
-      std::vector<std::int64_t> idx(static_cast<std::size_t>(d.levels), 0);
-      std::int64_t dst_off = 0;
-      for (;;) {
-        std::int64_t remote = d.base_offset;
-        for (int l = 0; l < d.levels; ++l) {
-          remote += idx[static_cast<std::size_t>(l)] *
-                    d.strides[static_cast<std::size_t>(l)];
-        }
-        mem.read(std::span<std::uint8_t>(resp.data)
-                     .subspan(static_cast<std::size_t>(dst_off),
-                              static_cast<std::size_t>(d.block_bytes)),
-                 GAddr{r->target_proc, remote});
-        dst_off += d.block_bytes;
-        int l = 0;
-        for (; l < d.levels; ++l) {
-          if (++idx[static_cast<std::size_t>(l)] <
-              d.counts[static_cast<std::size_t>(l)]) {
-            break;
-          }
-          idx[static_cast<std::size_t>(l)] = 0;
-        }
-        if (l == d.levels) break;
-      }
+      resp.data.reserve(static_cast<std::size_t>(d.total_bytes()));
+      StridedOdometer o = d.blocks();
+      do {
+        const auto v = mem.view(GAddr{r->target_proc, d.base_offset + o.a()},
+                                d.block_bytes);
+        resp.data.insert(resp.data.end(), v.begin(), v.end());
+      } while (o.next());
       break;
     }
     case OpCode::kGetV: {
-      resp.data.resize(
+      resp.data.reserve(
           static_cast<std::size_t>(r->response_data_bytes()));
-      std::int64_t off = 0;
       for (const auto& seg : r->segs) {
-        mem.read(std::span<std::uint8_t>(resp.data)
-                     .subspan(static_cast<std::size_t>(off),
-                              static_cast<std::size_t>(seg.bytes)),
-                 GAddr{r->target_proc, seg.target_offset});
-        off += seg.bytes;
+        const auto v =
+            mem.view(GAddr{r->target_proc, seg.target_offset}, seg.bytes);
+        resp.data.insert(resp.data.end(), v.begin(), v.end());
       }
       break;
     }

@@ -69,43 +69,50 @@ void GlobalMemory::read(std::span<std::uint8_t> dst, GAddr src) const {
               dst.size());
 }
 
+std::span<const std::uint8_t> GlobalMemory::view(GAddr src,
+                                                 std::int64_t bytes) const {
+  check(src, bytes);
+  return {ensure(src.proc).data() + src.offset,
+          static_cast<std::size_t>(bytes)};
+}
+
+template <typename T>
+void GlobalMemory::accumulate(GAddr dst, const std::uint8_t* src,
+                              std::size_t n, T scale) {
+  check(dst, static_cast<std::int64_t>(n * sizeof(T)));
+  auto* base = ensure(dst.proc).data() + dst.offset;
+  for (std::size_t i = 0; i < n; ++i) {
+    T cur;
+    T v;
+    std::memcpy(&cur, base + i * sizeof(T), sizeof(T));
+    std::memcpy(&v, src + i * sizeof(T), sizeof(T));
+    cur += scale * v;
+    std::memcpy(base + i * sizeof(T), &cur, sizeof(T));
+  }
+}
+
 void GlobalMemory::accumulate_f64(GAddr dst, std::span<const double> src,
                                   double scale) {
-  check(dst, static_cast<std::int64_t>(src.size() * sizeof(double)));
-  auto* base = ensure(dst.proc).data() + dst.offset;
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    double cur;
-    std::memcpy(&cur, base + i * sizeof(double), sizeof(double));
-    cur += scale * src[i];
-    std::memcpy(base + i * sizeof(double), &cur, sizeof(double));
-  }
+  accumulate(dst, reinterpret_cast<const std::uint8_t*>(src.data()),
+             src.size(), scale);
+}
+
+void GlobalMemory::accumulate_f64(GAddr dst,
+                                  std::span<const std::uint8_t> src,
+                                  double scale) {
+  accumulate(dst, src.data(), src.size() / sizeof(double), scale);
 }
 
 void GlobalMemory::accumulate_i64(GAddr dst,
-                                  std::span<const std::int64_t> src,
+                                  std::span<const std::uint8_t> src,
                                   std::int64_t scale) {
-  check(dst, static_cast<std::int64_t>(src.size() * sizeof(std::int64_t)));
-  auto* base = ensure(dst.proc).data() + dst.offset;
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    std::int64_t cur;
-    std::memcpy(&cur, base + i * sizeof(std::int64_t),
-                sizeof(std::int64_t));
-    cur += scale * src[i];
-    std::memcpy(base + i * sizeof(std::int64_t), &cur,
-                sizeof(std::int64_t));
-  }
+  accumulate(dst, src.data(), src.size() / sizeof(std::int64_t), scale);
 }
 
-void GlobalMemory::accumulate_f32(GAddr dst, std::span<const float> src,
+void GlobalMemory::accumulate_f32(GAddr dst,
+                                  std::span<const std::uint8_t> src,
                                   float scale) {
-  check(dst, static_cast<std::int64_t>(src.size() * sizeof(float)));
-  auto* base = ensure(dst.proc).data() + dst.offset;
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    float cur;
-    std::memcpy(&cur, base + i * sizeof(float), sizeof(float));
-    cur += scale * src[i];
-    std::memcpy(base + i * sizeof(float), &cur, sizeof(float));
-  }
+  accumulate(dst, src.data(), src.size() / sizeof(float), scale);
 }
 
 std::int64_t GlobalMemory::fetch_add_i64(GAddr addr, std::int64_t delta) {

@@ -7,6 +7,7 @@
 // (atomicity, ordering) of the runtime protocols.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -40,14 +41,23 @@ class GlobalMemory {
   /// Raw access for op execution.
   void write(GAddr dst, std::span<const std::uint8_t> src);
   void read(std::span<std::uint8_t> dst, GAddr src) const;
+  /// The `bytes` bytes at `src`, in place; valid until the next call
+  /// that may touch the segment.
+  [[nodiscard]] std::span<const std::uint8_t> view(GAddr src,
+                                                   std::int64_t bytes) const;
 
   /// dst[i] += scale * src[i] over doubles (ARMCI_Acc with ARMCI_ACC_DBL).
   void accumulate_f64(GAddr dst, std::span<const double> src, double scale);
-  /// Integer accumulate (ARMCI_ACC_LNG).
-  void accumulate_i64(GAddr dst, std::span<const std::int64_t> src,
+
+  /// The accumulates over a raw payload (a request's data, no alignment
+  /// guarantee) of src.size() / sizeof(element) elements: doubles,
+  /// integers (ARMCI_ACC_LNG) and single precision (ARMCI_ACC_FLT).
+  void accumulate_f64(GAddr dst, std::span<const std::uint8_t> src,
+                      double scale);
+  void accumulate_i64(GAddr dst, std::span<const std::uint8_t> src,
                       std::int64_t scale);
-  /// Single-precision accumulate (ARMCI_ACC_FLT).
-  void accumulate_f32(GAddr dst, std::span<const float> src, float scale);
+  void accumulate_f32(GAddr dst, std::span<const std::uint8_t> src,
+                      float scale);
 
   /// Atomic read-modify-write on an int64 cell.
   std::int64_t fetch_add_i64(GAddr addr, std::int64_t delta);
@@ -63,6 +73,10 @@ class GlobalMemory {
 
  private:
   void check(GAddr a, std::int64_t bytes) const;
+  /// dst[i] += scale * src[i] over `n` elements of T read from `src`.
+  template <typename T>
+  void accumulate(GAddr dst, const std::uint8_t* src, std::size_t n,
+                  T scale);
   /// Segments materialize lazily on first touch: simulations with many
   /// thousands of processes typically access only a handful of remote
   /// segments, and eager allocation of nprocs * segment_bytes would

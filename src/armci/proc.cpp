@@ -556,44 +556,6 @@ sim::Co<void> Proc::nb_issue(RequestPtr r) {
 
 namespace {
 
-/// Walk the odometer of an N-level strided description, producing the
-/// (local offset, remote offset) of each contiguous block.
-void expand_strided(std::span<const std::int64_t> dst_strides,
-                    std::span<const std::int64_t> src_strides,
-                    std::span<const std::int64_t> counts,
-                    std::vector<std::pair<std::int64_t, std::int64_t>>&
-                        out /* (local, remote) */) {
-  const auto levels = static_cast<int>(counts.size()) - 1;
-  assert(levels >= 0 && levels <= 7);
-  assert(static_cast<int>(dst_strides.size()) == levels &&
-         static_cast<int>(src_strides.size()) == levels);
-  std::vector<std::int64_t> idx(static_cast<std::size_t>(levels), 0);
-  for (;;) {
-    std::int64_t local = 0;
-    std::int64_t remote = 0;
-    for (int l = 0; l < levels; ++l) {
-      local += idx[static_cast<std::size_t>(l)] *
-               src_strides[static_cast<std::size_t>(l)];
-      remote += idx[static_cast<std::size_t>(l)] *
-                dst_strides[static_cast<std::size_t>(l)];
-    }
-    out.emplace_back(local, remote);
-    int l = 0;
-    for (; l < levels; ++l) {
-      if (++idx[static_cast<std::size_t>(l)] <
-          counts[static_cast<std::size_t>(l) + 1]) {
-        break;
-      }
-      idx[static_cast<std::size_t>(l)] = 0;
-    }
-    if (l == levels) break;
-  }
-}
-
-}  // namespace
-
-namespace {
-
 /// Fill a compact descriptor from strided-op arguments; target-side
 /// strides go on the wire.
 StridedDesc make_desc(std::int64_t base,
@@ -628,26 +590,23 @@ sim::Co<void> Proc::put_strided_n(
     RequestPtr r = make_request(OpCode::kPutS, dst.proc);
     r->strided = desc;
     r->data.reserve(static_cast<std::size_t>(desc.total_bytes()));
-    std::vector<std::pair<std::int64_t, std::int64_t>> blocks;
-    expand_strided(dst_strides, src_strides, counts, blocks);
-    for (const auto& [local, remote] : blocks) {
-      r->data.insert(r->data.end(), src + local,
-                     src + local + counts[0]);
-    }
+    StridedOdometer o(counts.subspan(1), src_strides, dst_strides);
+    do {
+      r->data.insert(r->data.end(), src + o.a(), src + o.a() + counts[0]);
+    } while (o.next());
     co_await roundtrip(std::move(r));
     co_return;
   }
   // Oversized: fall back to buffer-chunked vectored segments.
-  std::vector<std::pair<std::int64_t, std::int64_t>> blocks;
-  expand_strided(dst_strides, src_strides, counts, blocks);
   std::vector<PutSeg> segs;
-  segs.reserve(blocks.size());
-  for (const auto& [local, remote] : blocks) {
+  segs.reserve(static_cast<std::size_t>(desc.total_blocks()));
+  StridedOdometer o(counts.subspan(1), src_strides, dst_strides);
+  do {
     segs.push_back(PutSeg{
-        std::span<const std::uint8_t>(src + local,
+        std::span<const std::uint8_t>(src + o.a(),
                                       static_cast<std::size_t>(counts[0])),
-        dst.offset + remote});
-  }
+        dst.offset + o.b()});
+  } while (o.next());
   co_await put_v(dst.proc, segs);
 }
 
@@ -664,27 +623,24 @@ sim::Co<void> Proc::get_strided_n(
     r->strided = desc;
     Response resp = co_await roundtrip(std::move(r));
     // Scatter in the same odometer order the target gathered.
-    std::vector<std::pair<std::int64_t, std::int64_t>> blocks;
-    expand_strided(src_strides, dst_strides, counts, blocks);
     std::int64_t off = 0;
-    for (const auto& [local, remote] : blocks) {
-      (void)remote;
-      std::memcpy(dst + local, resp.data.data() + off,
+    StridedOdometer o(counts.subspan(1), dst_strides, src_strides);
+    do {
+      std::memcpy(dst + o.a(), resp.data.data() + off,
                   static_cast<std::size_t>(counts[0]));
       off += counts[0];
-    }
+    } while (o.next());
     co_return;
   }
-  std::vector<std::pair<std::int64_t, std::int64_t>> blocks;
-  expand_strided(src_strides, dst_strides, counts, blocks);
   std::vector<GetSeg> segs;
-  segs.reserve(blocks.size());
-  for (const auto& [local, remote] : blocks) {
+  segs.reserve(static_cast<std::size_t>(desc.total_blocks()));
+  StridedOdometer o(counts.subspan(1), dst_strides, src_strides);
+  do {
     segs.push_back(GetSeg{
-        std::span<std::uint8_t>(dst + local,
+        std::span<std::uint8_t>(dst + o.a(),
                                 static_cast<std::size_t>(counts[0])),
-        src.offset + remote});
-  }
+        src.offset + o.b()});
+  } while (o.next());
   co_await get_v(src.proc, segs);
 }
 
@@ -692,17 +648,15 @@ sim::Co<void> Proc::acc_strided_f64(
     GAddr dst, std::span<const std::int64_t> dst_strides,
     const double* src, std::span<const std::int64_t> src_strides,
     std::span<const std::int64_t> counts, double scale) {
-  std::vector<std::pair<std::int64_t, std::int64_t>> blocks;
-  expand_strided(dst_strides, src_strides, counts, blocks);
-  std::vector<PutSeg> segs;
-  segs.reserve(blocks.size());
   const auto* bytes = reinterpret_cast<const std::uint8_t*>(src);
-  for (const auto& [local, remote] : blocks) {
+  std::vector<PutSeg> segs;
+  StridedOdometer o(counts.subspan(1), src_strides, dst_strides);
+  do {
     segs.push_back(PutSeg{
-        std::span<const std::uint8_t>(bytes + local,
+        std::span<const std::uint8_t>(bytes + o.a(),
                                       static_cast<std::size_t>(counts[0])),
-        dst.offset + remote});
-  }
+        dst.offset + o.b()});
+  } while (o.next());
   co_await vector_op(
       OpCode::kAcc, dst.proc,
       chunk_put(dst.proc, OpCode::kAcc, segs, scale, AccType::kF64));

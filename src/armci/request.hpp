@@ -84,6 +84,51 @@ struct VecSeg {
   std::int64_t bytes = 0;
 };
 
+/// Odometer over an N-level strided layout (ARMCI's convention: level 0
+/// varies fastest, `counts[l]` repetitions at level l). Walks the
+/// contiguous blocks in order without allocating; a() and b() are the
+/// current block's offset under two stride sets — e.g. the local and
+/// the remote side of a transfer:
+///   StridedOdometer o(counts, local_strides, remote_strides);
+///   do { copy(o.a(), o.b()); } while (o.next());
+class StridedOdometer {
+ public:
+  StridedOdometer(std::span<const std::int64_t> counts,
+                  std::span<const std::int64_t> strides_a,
+                  std::span<const std::int64_t> strides_b)
+      : counts_(counts), strides_a_(strides_a), strides_b_(strides_b) {
+    assert(counts.size() <= idx_.size() &&
+           strides_a.size() == counts.size() &&
+           strides_b.size() == counts.size());
+  }
+
+  [[nodiscard]] std::int64_t a() const { return a_; }
+  [[nodiscard]] std::int64_t b() const { return b_; }
+
+  /// Step to the next block; false once every block has been visited.
+  bool next() {
+    for (std::size_t l = 0; l < counts_.size(); ++l) {
+      if (++idx_[l] < counts_[l]) {
+        a_ += strides_a_[l];
+        b_ += strides_b_[l];
+        return true;
+      }
+      a_ -= (idx_[l] - 1) * strides_a_[l];
+      b_ -= (idx_[l] - 1) * strides_b_[l];
+      idx_[l] = 0;
+    }
+    return false;
+  }
+
+ private:
+  std::span<const std::int64_t> counts_;
+  std::span<const std::int64_t> strides_a_;
+  std::span<const std::int64_t> strides_b_;
+  std::array<std::int64_t, 7> idx_{};
+  std::int64_t a_ = 0;
+  std::int64_t b_ = 0;
+};
+
 /// Compact N-level strided descriptor (ARMCI_PutS wire format): the
 /// target expands it instead of shipping one VecSeg per block, so the
 /// wire overhead is one fixed-size descriptor regardless of block count.
@@ -101,6 +146,12 @@ struct StridedDesc {
   }
   [[nodiscard]] std::int64_t total_bytes() const {
     return total_blocks() * block_bytes;
+  }
+  /// The blocks in payload order; a() is a block's offset from
+  /// base_offset on the target.
+  [[nodiscard]] StridedOdometer blocks() const {
+    const auto n = static_cast<std::size_t>(levels);
+    return {{counts.data(), n}, {strides.data(), n}, {strides.data(), n}};
   }
   /// Wire size of the descriptor itself.
   static constexpr std::int64_t kWireBytes = 128;

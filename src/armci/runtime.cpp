@@ -118,17 +118,16 @@ void Runtime::init() {
       // them afterwards.
       sim::ScopedNode scope(static_cast<int>(n));
       chts_.push_back(std::make_unique<Cht>(*this, n));
-      credit_banks_.push_back(std::make_unique<CreditBank>(
+      credit_banks_.emplace_back(
           threads_->engine_for_node(static_cast<int>(n)),
-          credits_per_edge(), topology().neighbors(n), qos));
-      congestion_.push_back(std::make_unique<CongestionControl>(
-          threads_->engine_for_node(static_cast<int>(n)), qos));
+          credits_per_edge(), &topology(), n, qos);
+      congestion_.emplace_back(
+          threads_->engine_for_node(static_cast<int>(n)), qos);
     } else {
       chts_.push_back(std::make_unique<Cht>(*this, n));
-      credit_banks_.push_back(std::make_unique<CreditBank>(
-          *eng_, credits_per_edge(), topology().neighbors(n), qos));
-      congestion_.push_back(
-          std::make_unique<CongestionControl>(*eng_, qos));
+      credit_banks_.emplace_back(*eng_, credits_per_edge(), &topology(), n,
+                                 qos);
+      congestion_.emplace_back(*eng_, qos);
     }
   }
   procs_.reserve(static_cast<std::size_t>(num_procs()));
@@ -194,7 +193,9 @@ void Runtime::run_engine() {
   // (they have no stats access); snapshot the total whenever a run
   // settles so stats_ reads stay consistent with the other counters.
   std::uint64_t grants = 0;
-  for (const auto& bank : credit_banks_) grants += bank->reserved_grants();
+  for (const CreditBank& bank : credit_banks_) {
+    grants += bank.reserved_grants();
+  }
   stats_.reserved_grants = grants;
 }
 
@@ -253,12 +254,12 @@ Cht& Runtime::cht(core::NodeId n) {
 
 CreditBank& Runtime::credits(core::NodeId n) {
   assert(n >= 0 && n < num_nodes());
-  return *credit_banks_[static_cast<std::size_t>(n)];
+  return credit_banks_[static_cast<std::size_t>(n)];
 }
 
 CongestionControl& Runtime::congestion(core::NodeId n) {
   assert(n >= 0 && n < num_nodes());
-  return *congestion_[static_cast<std::size_t>(n)];
+  return congestion_[static_cast<std::size_t>(n)];
 }
 
 void Runtime::spawn(ProcId p, std::function<sim::Co<void>(Proc&)> program) {
@@ -301,8 +302,8 @@ void Runtime::run_all() {
 }
 
 void Runtime::validate_quiescent() {
-  for (const auto& bank : credit_banks_) {
-    bank->check_quiescent("credit bank not quiescent after run");
+  for (const CreditBank& bank : credit_banks_) {
+    bank.check_quiescent("credit bank not quiescent after run");
   }
   request_pool_.check_drained("request leaked past shutdown");
   for (const NodeSlot& s : node_slots_) {
@@ -310,8 +311,8 @@ void Runtime::validate_quiescent() {
   }
   VTOPO_CHECK_ALWAYS(inflight_requests() == 0,
                      "issued request never completed at its origin");
-  for (const auto& cc : congestion_) {
-    VTOPO_CHECK_ALWAYS(cc->idle(),
+  for (const CongestionControl& cc : congestion_) {
+    VTOPO_CHECK_ALWAYS(cc.idle(),
                        "congestion window slot held past shutdown");
   }
   // Check the cumulative forwarding depth against the loosest bound of
@@ -326,8 +327,8 @@ void Runtime::validate_quiescent() {
 
 bool Runtime::request_path_quiescent() const {
   if (inflight_requests() != 0) return false;
-  for (const auto& bank : credit_banks_) {
-    if (!bank->idle()) return false;
+  for (const CreditBank& bank : credit_banks_) {
+    if (!bank.idle()) return false;
   }
   return true;
 }
@@ -452,7 +453,7 @@ void Runtime::note_first_hop_ok(core::NodeId hop) {
 void Runtime::reclaim_lease(core::NodeId holder, core::NodeId receiver,
                             Priority cls) {
   if (!cfg_.armci.lease_reclaim) return;  // chaos knob: leak instead
-  CreditBank* bank = credit_banks_[static_cast<std::size_t>(holder)].get();
+  CreditBank* bank = &credit_banks_[static_cast<std::size_t>(holder)];
   Runtime* rt = this;
   auto release = [rt, bank, receiver, cls] {
     bank->release(receiver, cls);
@@ -746,8 +747,8 @@ sim::Co<bool> Runtime::reconfigure(core::TopologyKind to,
                        "op issued while holding a lock?)");
     co_await sim::Sleep(*eng_, p.reconfig_poll);
   }
-  for (const auto& bank : credit_banks_) {
-    bank->check_quiescent("credit bank not quiescent at reconfiguration");
+  for (const CreditBank& bank : credit_banks_) {
+    bank.check_quiescent("credit bank not quiescent at reconfiguration");
   }
   VTOPO_CHECK_ALWAYS(inflight_requests() == 0,
                      "request in flight at reconfiguration");
@@ -756,15 +757,17 @@ sim::Co<bool> Runtime::reconfigure(core::TopologyKind to,
   // ---- Plan the transition; under VTOPO_VALIDATE, verify the ordered
   // build -> switch -> teardown schedule keeps every intermediate
   // buffer-dependency graph acyclic before touching any bank.
-  core::VirtualTopology next =
-      core::VirtualTopology::make(to, cfg_.num_nodes, cfg_.policy);
-  const core::RemapPlan plan = core::plan_remap(topology(), next);
+  // Heap-held so its address survives install(): the banks are remapped
+  // onto this object and keep reading adjacency from it.
+  auto next = std::make_unique<const core::VirtualTopology>(
+      core::VirtualTopology::make(to, cfg_.num_nodes, cfg_.policy));
+  const core::RemapPlan plan = core::plan_remap(topology(), *next);
   [[maybe_unused]] const core::RemapSchedule sched =
       core::plan_schedule(plan);
 #if VTOPO_VALIDATE_ENABLED
   {
     const core::TransitionCheck check =
-        core::verify_transition(topology(), next, sched);
+        core::verify_transition(topology(), *next, sched);
     VTOPO_CHECK_ALWAYS(check.ok(), "unsafe topology transition schedule");
   }
 #endif
@@ -773,11 +776,11 @@ sim::Co<bool> Runtime::reconfigure(core::TopologyKind to,
   std::int64_t built = 0;
   std::int64_t torn = 0;
   for (core::NodeId n = 0; n < cfg_.num_nodes; ++n) {
-    CreditBank& bank = *credit_banks_[static_cast<std::size_t>(n)];
+    CreditBank& bank = credit_banks_[static_cast<std::size_t>(n)];
     const CreditBank::RemapStats rs =
         mode == ReconfigMode::kIncremental
-            ? bank.apply_remap(next.neighbors(n))
-            : bank.rebuild(next.neighbors(n));
+            ? bank.apply_remap(*next)
+            : bank.rebuild(*next);
     rep.pools_kept += rs.kept;
     built += rs.added;
     torn += rs.removed;

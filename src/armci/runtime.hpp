@@ -518,8 +518,11 @@ class Runtime {
   PayloadArena payload_arena_;
   std::deque<NodeSlot> node_slots_;
   std::vector<std::unique_ptr<Cht>> chts_;
-  std::vector<std::unique_ptr<CreditBank>> credit_banks_;
-  std::vector<std::unique_ptr<CongestionControl>> congestion_;
+  /// One per node, held by value: init() reserves num_nodes up front and
+  /// never grows them again, because parked waiters and lease-reclaim
+  /// closures refer to elements by address.
+  std::vector<CreditBank> credit_banks_;
+  std::vector<CongestionControl> congestion_;
   std::vector<std::unique_ptr<Proc>> procs_;
   RuntimeStats stats_;
   OpTracer tracer_;

@@ -9,11 +9,15 @@
 // The manager hands out `const VirtualTopology&` only; callers must not
 // cache the reference across a suspension point that may include a
 // reconfiguration (re-fetch through Runtime::topology() instead, the
-// way all protocol code here does).
+// way all protocol code here does). The one exception is the credit
+// banks, which read adjacency through a pointer: each generation lives
+// in its own heap object, so a bank remapped onto the next topology
+// before install() keeps pointing at it once it is current.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -33,24 +37,26 @@ class TopologyManager {
   };
 
   explicit TopologyManager(core::VirtualTopology initial)
-      : current_(std::move(initial)) {
+      : current_(std::make_unique<const core::VirtualTopology>(
+            std::move(initial))) {
     history_.push_back(
-        Generation{0, current_.kind(), 0, current_.max_forwards()});
+        Generation{0, current_->kind(), 0, current_->max_forwards()});
   }
 
   [[nodiscard]] const core::VirtualTopology& current() const {
-    return current_;
+    return *current_;
   }
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
 
   /// Swap in the next topology; returns the new epoch. The caller (the
   /// Runtime's reconfigure path) is responsible for quiescing the
   /// request path first — install() itself is instantaneous.
-  std::uint64_t install(core::VirtualTopology next, sim::TimeNs now) {
+  std::uint64_t install(std::unique_ptr<const core::VirtualTopology> next,
+                        sim::TimeNs now) {
     current_ = std::move(next);
     ++epoch_;
-    history_.push_back(
-        Generation{epoch_, current_.kind(), now, current_.max_forwards()});
+    history_.push_back(Generation{epoch_, current_->kind(), now,
+                                  current_->max_forwards()});
     return epoch_;
   }
 
@@ -73,7 +79,7 @@ class TopologyManager {
   }
 
  private:
-  core::VirtualTopology current_;
+  std::unique_ptr<const core::VirtualTopology> current_;
   std::uint64_t epoch_ = 0;
   std::vector<Generation> history_;
 };

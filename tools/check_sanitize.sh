@@ -5,7 +5,8 @@
 #   1. ASan+UBSan over the sim + armci suites (the pooling/recycling
 #      layers are exactly where lifetime bugs sit), including the
 #      lazy credit-pool, QosQueue FIFO and Runtime pool-count tests of
-#      tests/armci/lazy_state_test.cpp.
+#      tests/armci/lazy_state_test.cpp and the topology-backed
+#      credit-bank tests of tests/armci/topology_bank_test.cpp.
 #   2. TSan (+VTOPO_VALIDATE) over the parallel paths: the --jobs sweep
 #      harness and the hotpath bench worker threads, plus a byte-diff of
 #      --jobs 4 against --jobs 1 output — determinism under threads, not
@@ -17,8 +18,9 @@
 #      real worker thread per node, cross-thread request/ack/response
 #      posts, shared-memory payload copies and the realtime Future
 #      handshake — the differential oracle with the race detector on —
-#      plus lazy_state_threads_suite: credit pools materialized on the
-#      owning node's worker while acks post releases across threads.
+#      plus lazy_state_threads_suite and topology_bank_threads_suite:
+#      credit pools and edge records materialized on the owning node's
+#      worker while acks post releases across threads.
 #   5. TSan over the multi-tenant service battery (ctest -L svc): the
 #      uncoupled scheduler's one-host-thread-per-running-job path plus
 #      a byte-diff of the canonical report at jobs 4 vs 1 — the service
@@ -66,8 +68,9 @@ ctest --test-dir build-tsan -L qos -j "$(nproc)" --output-on-failure
 
 # Threads transport backend: per-node worker threads with real MPSC
 # queues and shared-memory copies. The differential oracle, the
-# quiescence battery and the lazy credit-pool suite run with the race
-# detector watching every cross-thread post and payload copy.
+# quiescence battery and the lazy and topology-backed credit-bank suites
+# run with the race detector watching every cross-thread post and
+# payload copy.
 ctest --test-dir build-tsan -L threads -j "$(nproc)" --output-on-failure
 
 # Multi-tenant service battery: admission/partitioner units, tenant

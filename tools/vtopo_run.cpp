@@ -25,11 +25,15 @@
 //             service: job mix scheduled onto one shared torus; see
 //             docs/service.md for the job-mix grammar)
 //
-// Unknown keys are rejected; every key has a sensible default.
+// Unknown keys are rejected, and so are malformed numbers and non-positive
+// node or process counts (a named error and exit 2); every key has a
+// sensible default.
 #include <algorithm>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -52,6 +56,46 @@
 using namespace vtopo;
 
 namespace {
+
+[[noreturn]] void bad_value(const std::string& key, const char* expects,
+                            const std::string& value) {
+  std::fprintf(stderr, "error: %s expects %s, got \"%s\"\n", key.c_str(),
+               expects, value.c_str());
+  std::exit(2);
+}
+
+/// All of `value` as a base-10 integer, or a named error and exit 2.
+std::int64_t parse_int(const std::string& key, const std::string& value) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(value.c_str(), &end, 10);
+  if (end == value.c_str() || *end != '\0' || errno == ERANGE) {
+    bad_value(key, "an integer", value);
+  }
+  return v;
+}
+
+/// parse_int() restricted to [1, max]: node and process counts.
+std::int64_t parse_count(const std::string& key, const std::string& value,
+                         std::int64_t max) {
+  const std::int64_t v = parse_int(key, value);
+  if (v <= 0 || v > max) bad_value(key, "a positive integer", value);
+  return v;
+}
+
+/// All of `value` as a number, or a named error and exit 2.
+double parse_real(const std::string& key, const std::string& value) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(value.c_str(), &end);
+  if (end == value.c_str() || *end != '\0' || errno == ERANGE) {
+    bad_value(key, "a number", value);
+  }
+  return v;
+}
+
+constexpr std::int64_t kMaxNodes = std::numeric_limits<core::NodeId>::max();
+constexpr std::int64_t kMaxPpn = std::numeric_limits<int>::max();
 
 class KvArgs {
  public:
@@ -76,12 +120,18 @@ class KvArgs {
   std::int64_t num(const std::string& key, std::int64_t dflt) {
     used_.insert(key);
     const auto it = kv_.find(key);
-    return it == kv_.end() ? dflt : std::stoll(it->second);
+    return it == kv_.end() ? dflt : parse_int(key, it->second);
+  }
+  std::int64_t count(const std::string& key, std::int64_t dflt,
+                     std::int64_t max) {
+    used_.insert(key);
+    const auto it = kv_.find(key);
+    return it == kv_.end() ? dflt : parse_count(key, it->second, max);
   }
   double real(const std::string& key, double dflt) {
     used_.insert(key);
     const auto it = kv_.find(key);
-    return it == kv_.end() ? dflt : std::stod(it->second);
+    return it == kv_.end() ? dflt : parse_real(key, it->second);
   }
   /// Call after all reads: any unread key is a typo.
   void reject_unknown() const {
@@ -199,19 +249,19 @@ std::vector<svc::JobSpec> parse_job_mix(const std::string& mix) {
         const std::string k = kv.substr(0, eq);
         const std::string v = kv.substr(eq + 1);
         if (k == "nodes") {
-          spec.nodes = std::stoll(v);
+          spec.nodes = parse_count(k, v, kMaxNodes);
         } else if (k == "ppn") {
-          spec.procs_per_node = static_cast<int>(std::stoll(v));
+          spec.procs_per_node = static_cast<int>(parse_count(k, v, kMaxPpn));
         } else if (k == "prio") {
-          spec.priority = static_cast<int>(std::stoll(v));
+          spec.priority = static_cast<int>(parse_int(k, v));
         } else if (k == "at") {
-          spec.submit_at = std::stoll(v);
+          spec.submit_at = parse_int(k, v);
         } else if (k == "ops") {
-          spec.ops = std::stoll(v);
+          spec.ops = parse_int(k, v);
         } else if (k == "topo") {
           spec.topology = parse_topology(v);
         } else if (k == "seed") {
-          spec.seed = static_cast<std::uint64_t>(std::stoll(v));
+          spec.seed = static_cast<std::uint64_t>(parse_int(k, v));
         } else if (k == "name") {
           spec.name = v;
         } else {
@@ -296,7 +346,7 @@ int main(int argc, char** argv) {
 
   if (workload == "recommend") {
     core::WorkloadProfile prof;
-    prof.num_nodes = args.num("nodes", 1024);
+    prof.num_nodes = args.count("nodes", 1024, kMaxNodes);
     prof.buffer_budget_mb = args.real("budget", 256.0);
     prof.hotspot_fraction = args.real("hotspot", 0.0);
     prof.latency_sensitivity = args.real("latency", 0.5);
@@ -308,8 +358,8 @@ int main(int argc, char** argv) {
   }
 
   work::ClusterConfig cl;
-  cl.num_nodes = args.num("nodes", 64);
-  cl.procs_per_node = static_cast<int>(args.num("ppn", 4));
+  cl.num_nodes = args.count("nodes", 64, kMaxNodes);
+  cl.procs_per_node = static_cast<int>(args.count("ppn", 4, kMaxPpn));
   const std::string topo_str = args.str("topology", "mfcg");
   const bool auto_topology = topo_str == "auto";
   if (!auto_topology) cl.topology = parse_topology(topo_str);
